@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -83,6 +84,26 @@ bool finishConnect(int fd, const sockaddr* addr, socklen_t len, int timeoutMs,
 }
 
 }  // namespace
+
+bool splitHostPort(const std::string& hostPort, std::string& host,
+                   std::uint16_t& port, std::string* error) {
+  const std::size_t colon = hostPort.rfind(':');
+  if (colon == std::string::npos) {
+    setError(error, "bad address '" + hostPort + "' (want host:port)");
+    return false;
+  }
+  const char* first = hostPort.data() + colon + 1;
+  const char* last = hostPort.data() + hostPort.size();
+  unsigned p = 0;
+  const auto [end, ec] = std::from_chars(first, last, p);
+  if (first == last || ec != std::errc() || end != last || p > 65535) {
+    setError(error, "bad port in '" + hostPort + "'");
+    return false;
+  }
+  host = hostPort.substr(0, colon);
+  port = static_cast<std::uint16_t>(p);
+  return true;
+}
 
 Client::~Client() { close(); }
 
@@ -159,23 +180,13 @@ bool Client::connectUnix(const std::string& path, std::string* error,
 bool Client::connectTcp(const std::string& hostPort, std::string* error,
                         int timeoutMs) {
   close();
-  const std::size_t colon = hostPort.rfind(':');
-  if (colon == std::string::npos) {
-    setError(error, "bad address '" + hostPort + "' (want host:port)");
-    return false;
-  }
-  std::string host = hostPort.substr(0, colon);
+  std::string host;
+  std::uint16_t port = 0;
+  if (!splitHostPort(hostPort, host, port, error)) return false;
   if (host.empty()) host = "127.0.0.1";
-  unsigned long port = 0;
-  for (char c : hostPort.substr(colon + 1)) {
-    if (c < '0' || c > '9' || (port = port * 10 + static_cast<unsigned long>(c - '0')) > 65535) {
-      setError(error, "bad port in '" + hostPort + "'");
-      return false;
-    }
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     setError(error, "bad host '" + host + "'");
     return false;

@@ -36,6 +36,12 @@ struct RetryPolicy {
   std::uint64_t jitterSeed = 1;  ///< Stream for the +/-50% jitter.
 };
 
+/// Splits "host:port" at the last ':'.  The host may be empty (each caller
+/// picks its own default); the port must be 1-5 digits and <= 65535.  False
+/// with `error` set ("bad address ..." / "bad port in ...") otherwise.
+bool splitHostPort(const std::string& hostPort, std::string& host,
+                   std::uint16_t& port, std::string* error = nullptr);
+
 class Client {
  public:
   Client() = default;

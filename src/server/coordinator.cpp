@@ -1,115 +1,23 @@
 #include "server/coordinator.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
+#include "common/kvconfig.hpp"
 #include "common/log.hpp"
 #include "server/jobspec.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/prometheus.hpp"
 
 namespace renuca::server {
 
 namespace {
 
-constexpr int kPollMs = 100;
-
-bool setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string errnoString() { return std::strerror(errno); }
-
-/// Splits "host:port"; empty or "*" host means any interface.
-bool splitHostPort(const std::string& s, std::string& host, std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  host = s.substr(0, colon);
-  const std::string portStr = s.substr(colon + 1);
-  if (portStr.empty()) return false;
-  unsigned long p = 0;
-  for (char c : portStr) {
-    if (c < '0' || c > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(c - '0');
-    if (p > 65535) return false;
-  }
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
-/// Parses "key=value" lines (REGISTER / HEARTBEAT bodies) into a map.
-std::map<std::string, std::string> parseKvLines(const std::string& text) {
-  std::map<std::string, std::string> kv;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::size_t eq = line.find('=');
-    if (eq != std::string::npos && eq > 0) {
-      kv[line.substr(0, eq)] = line.substr(eq + 1);
-    }
-  }
-  return kv;
-}
-
-double kvDouble(const std::map<std::string, std::string>& kv,
-                const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) return 0.0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end != it->second.c_str() ? v : 0.0;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// The synthetic report body for a job the fleet itself failed (attempts
 /// exhausted, drain with no workers) — same "error" / "error_code" keys a
 /// worker-produced failure report carries.
 std::string failReportJson(const std::string& why, ErrCode code) {
-  return std::string("{\"error\": \"") + jsonEscape(why) +
+  return std::string("{\"error\": \"") + telemetry::jsonEscape(why) +
          "\", \"error_code\": \"" + toString(code) + "\"}\n";
-}
-
-void histogramJson(std::ostringstream& os, const Histogram& h) {
-  os << "{\"count\": " << h.total() << ", \"p50\": " << h.percentile(0.50)
-     << ", \"p90\": " << h.percentile(0.90) << ", \"p99\": " << h.percentile(0.99)
-     << "}";
 }
 
 double msSince(std::chrono::steady_clock::time_point from,
@@ -121,18 +29,12 @@ double msSince(std::chrono::steady_clock::time_point from,
 
 Coordinator::Coordinator(CoordinatorConfig cfg)
     : cfg_(std::move(cfg)),
+      submitted_(metrics_.counter("coord/submitted")),
+      rejected_(metrics_.counter("coord/rejected")),
+      protocolErrors_(metrics_.counter("coord/protocol_errors")),
+      loop_(cfg_, *this, "coord", "at the coordinator", protocolErrors_),
       leaseWaitHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
       latencyHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096) {
-  if (pipe(wakePipe_) != 0) {
-    logMessage(LogLevel::Error, "coord", "pipe() failed: " + errnoString());
-    wakePipe_[0] = wakePipe_[1] = -1;
-  } else {
-    setNonBlocking(wakePipe_[0]);
-    setNonBlocking(wakePipe_[1]);
-  }
-  submitted_ = metrics_.counter("coord/submitted");
-  rejected_ = metrics_.counter("coord/rejected");
-  protocolErrors_ = metrics_.counter("coord/protocol_errors");
   redispatched_ = metrics_.counter("coord/redispatched");
   duplicatesDiscarded_ = metrics_.counter("coord/duplicates_discarded");
   workersLost_ = metrics_.counter("coord/workers_lost");
@@ -155,392 +57,117 @@ Coordinator::Coordinator(CoordinatorConfig cfg)
   metrics_.gauge("coord/workers_live",
                  [this] { return static_cast<double>(liveWorkers()); });
   metrics_.gauge("coord/sessions",
-                 [this] { return static_cast<double>(sessions_.size()); });
+                 [this] { return static_cast<double>(loop_.sessionCount()); });
 }
 
-Coordinator::~Coordinator() {
-  for (auto& [id, s] : sessions_) {
-    if (s.fd >= 0) ::close(s.fd);
-  }
-  for (int fd : listenFds_) ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    for (int fd : adopted_) ::close(fd);
-  }
-  if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
-  if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
-}
-
-bool Coordinator::listen() {
-  if (!cfg_.socketPath.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (cfg_.socketPath.size() >= sizeof(addr.sun_path)) {
-      logMessage(LogLevel::Error, "coord",
-                 "socket path too long: " + cfg_.socketPath);
-      return false;
-    }
-    std::memcpy(addr.sun_path, cfg_.socketPath.c_str(), cfg_.socketPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "coord", "socket(AF_UNIX): " + errnoString());
-      return false;
-    }
-    ::unlink(cfg_.socketPath.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bind/listen " + cfg_.socketPath + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "coord", "listening on " + cfg_.socketPath);
-  }
-  if (!cfg_.listenHostPort.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!splitHostPort(cfg_.listenHostPort, host, port)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bad listen address '" + cfg_.listenHostPort + "' (want host:port)");
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (host.empty() || host == "*") {
-      addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      logMessage(LogLevel::Error, "coord", "bad listen host '" + host + "'");
-      return false;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "coord", "socket(AF_INET): " + errnoString());
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "coord",
-                 "bind/listen " + cfg_.listenHostPort + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "coord", "listening on " + cfg_.listenHostPort);
-  }
-  if (listenFds_.empty()) {
-    logMessage(LogLevel::Error, "coord", "no listeners configured");
-    return false;
-  }
-  return true;
-}
-
-void Coordinator::adoptConnection(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adopted_.push_back(fd);
-  }
-  wake();
-}
-
-void Coordinator::requestStop() {
-  stopFlag_.store(true, std::memory_order_relaxed);
-  if (wakePipe_[1] >= 0) {
-    const char b = 's';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Coordinator::wake() {
-  if (wakePipe_[1] >= 0) {
-    const char b = 'w';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Coordinator::drainAdopted() {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    fds.swap(adopted_);
-  }
-  for (int fd : fds) addSession(fd);
-}
-
-Coordinator::Session& Coordinator::addSession(int fd) {
-  Session s;
-  s.fd = fd;
-  s.id = nextSessionId_++;
-  s.lastActive = s.lastSeen = std::chrono::steady_clock::now();
-  auto [it, inserted] = sessions_.emplace(s.id, std::move(s));
-  return it->second;
-}
-
-void Coordinator::acceptPending(int listenFd) {
-  for (;;) {
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    setNonBlocking(fd);
-    addSession(fd);
-  }
-}
-
-void Coordinator::sendMessage(Session& s, const Message& m) {
-  if (s.dead) return;
-  const std::vector<std::uint8_t> frame = encodeFrame(m);
-  s.out.insert(s.out.end(), frame.begin(), frame.end());
-  if (s.out.size() - s.outOff > cfg_.maxWriteBuffer) {
-    logMessage(LogLevel::Warn, "coord",
-               "session " + std::to_string(s.id) + ": write backlog over " +
-                   std::to_string(cfg_.maxWriteBuffer) + " bytes, dropping peer");
-    s.dead = true;
-  }
-}
-
-bool Coordinator::flushSession(Session& s) {
-  while (s.outOff < s.out.size()) {
-    const std::size_t chunk = s.out.size() - s.outOff;
-    const ssize_t n = ::send(s.fd, s.out.data() + s.outOff, chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      s.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;
-  }
-  if (s.outOff == s.out.size()) {
-    s.out.clear();
-    s.outOff = 0;
-  } else if (s.outOff > (1u << 20)) {
-    s.out.erase(s.out.begin(), s.out.begin() + static_cast<std::ptrdiff_t>(s.outOff));
-    s.outOff = 0;
-  }
-  return true;
-}
-
-bool Coordinator::readSession(Session& s) {
-  for (;;) {
-    std::uint8_t tmp[65536];
-    const ssize_t n = ::recv(s.fd, tmp, sizeof(tmp), 0);
-    if (n > 0) {
-      s.in.insert(s.in.end(), tmp, tmp + n);
-      s.lastActive = std::chrono::steady_clock::now();
-      if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
-      continue;
-    }
-    if (n == 0) return false;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-  for (;;) {
-    Message m;
-    std::string err;
-    switch (decodeFrame(s.in, cfg_.maxFrameBytes, m, err)) {
-      case DecodeStatus::NeedMore:
-        return true;
-      case DecodeStatus::Frame:
-        handleMessage(s, m);
-        break;
-      case DecodeStatus::BadPayload: {
-        protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;
-        reply.text = err;
-        sendMessage(s, reply);
-        logMessage(LogLevel::Warn, "coord",
-                   "session " + std::to_string(s.id) + ": " + err);
-        break;
-      }
-      case DecodeStatus::Fatal:
-        protocolErrors_.inc();
-        logMessage(LogLevel::Warn, "coord",
-                   "session " + std::to_string(s.id) + ": " + err + "; closing");
-        return false;
-    }
-    if (s.dead) return true;
-  }
-}
-
-void Coordinator::handleMessage(Session& s, const Message& m) {
+bool Coordinator::onMessage(SessionId id, const Message& m) {
   switch (m.op) {
     case Op::Submit:
-      handleSubmit(s, m);
-      return;
+      handleSubmit(id, m);
+      return true;
     case Op::Register:
-      handleRegister(s, m);
-      return;
+      handleRegister(id, m);
+      return true;
     case Op::Heartbeat:
-      handleHeartbeat(s, m);
-      return;
+      handleHeartbeat(id, m);
+      return true;
     case Op::Accepted:
     case Op::Busy:
     case Op::Error:
     case Op::Status:
-    case Op::Report:
-      if (s.worker) {
-        handleWorkerResult(s, m);
-        return;
+    case Op::Report: {
+      auto wit = workers_.find(id);
+      if (wit != workers_.end()) {
+        handleWorkerResult(id, wit->second, m);
+        return true;
       }
       protocolErrors_.inc();
       logMessage(LogLevel::Warn, "coord",
-                 "session " + std::to_string(s.id) + ": " + toString(m.op) +
+                 "session " + std::to_string(id) + ": " + toString(m.op) +
                      " from a non-worker peer");
-      return;
-    case Op::Stats: {
-      Message reply;
-      reply.op = Op::StatsReply;
-      reply.requestId = m.requestId;
-      reply.text = statsJson();
-      sendMessage(s, reply);
-      return;
+      return true;
     }
-    case Op::Metrics: {
-      Message reply;
-      reply.op = Op::MetricsReply;
-      reply.requestId = m.requestId;
-      reply.text = metricsText();
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Ping: {
-      Message reply;
-      reply.op = Op::Pong;
-      reply.requestId = m.requestId;
-      reply.text = m.text;
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Shutdown: {
-      Message reply;
-      reply.op = Op::Accepted;
-      reply.requestId = m.requestId;
-      reply.text = "draining";
-      sendMessage(s, reply);
-      logMessage(LogLevel::Info, "coord",
-                 "shutdown requested by session " + std::to_string(s.id));
-      requestStop();
-      return;
-    }
-    default: {
-      protocolErrors_.inc();
-      Message reply;
-      reply.op = Op::Error;
-      reply.requestId = m.requestId;
-      reply.text = std::string("unexpected opcode ") + toString(m.op) +
-                   " at the coordinator";
-      sendMessage(s, reply);
-      return;
-    }
+    default:
+      return false;
   }
 }
 
-void Coordinator::handleSubmit(Session& s, const Message& m) {
-  Message reply;
-  reply.requestId = m.requestId;
-  if (draining_) {
-    reply.op = Op::Busy;
-    reply.errorCode = ErrCode::Busy;
-    reply.text = "coordinator is draining";
+void Coordinator::handleSubmit(SessionId id, const Message& m) {
+  const auto reject = [&](Op op, ErrCode code, std::string why) {
     rejected_.inc();
-    sendMessage(s, reply);
-    return;
-  }
+    loop_.send(id, {.op = op, .requestId = m.requestId, .errorCode = code,
+                    .text = std::move(why)});
+  };
+  if (loop_.draining()) return reject(Op::Busy, ErrCode::Busy, "coordinator is draining");
   // Validate the spec here so a typo costs one Error frame, not a lease.
   sim::Job job;
   std::string err;
-  if (!parseJobSpec(m.text, job, err)) {
-    reply.op = Op::Error;
-    reply.errorCode = ErrCode::Sim;
-    reply.text = err;
-    rejected_.inc();
-    sendMessage(s, reply);
-    return;
-  }
+  if (!parseJobSpec(m.text, job, err)) return reject(Op::Error, ErrCode::Sim, err);
   if (pendingQ_.size() >= cfg_.maxQueue) {
-    reply.op = Op::Busy;
-    reply.errorCode = ErrCode::Busy;
-    reply.text = "fleet backlog full (" + std::to_string(cfg_.maxQueue) + ")";
-    rejected_.inc();
-    sendMessage(s, reply);
-    return;
+    return reject(Op::Busy, ErrCode::Busy,
+                  "fleet backlog full (" + std::to_string(cfg_.maxQueue) + ")");
   }
-  FleetJob j;
-  j.id = nextJobId_++;
-  j.clientSession = s.id;
+  const std::uint64_t jobId = nextJobId_++;
+  FleetJob& j = jobs_[jobId];
+  j.id = jobId;
+  j.clientSession = id;
   j.clientRequest = m.requestId;
   j.spec = m.text;
-  j.submitted = std::chrono::steady_clock::now();
-  const std::uint64_t id = j.id;
-  jobs_.emplace(id, std::move(j));
-  pendingQ_.push_back(id);
-  s.order.push_back(id);
-  s.undelivered++;
+  j.submitted = Clock::now();
+  pendingQ_.push_back(jobId);
+  Submitter& sub = submitters_[id];
+  sub.order.push_back(jobId);
+  sub.undelivered++;
   submitted_.inc();
-  reply.op = Op::Accepted;
-  reply.jobId = id;
-  sendMessage(s, reply);
-  Message status;
-  status.op = Op::Status;
-  status.requestId = m.requestId;
-  status.jobId = id;
-  status.state = JobState::Queued;
-  sendMessage(s, status);
+  loop_.send(id, {.op = Op::Accepted, .requestId = m.requestId, .jobId = jobId});
+  loop_.send(id, {.op = Op::Status, .requestId = m.requestId, .jobId = jobId,
+                  .state = JobState::Queued});
 }
 
-void Coordinator::handleRegister(Session& s, const Message& m) {
-  const auto kv = parseKvLines(m.text);
-  s.worker = true;
-  auto nameIt = kv.find("name");
-  s.workerName = (nameIt != kv.end() && !nameIt->second.empty())
-                     ? nameIt->second
-                     : "worker-" + std::to_string(s.id);
-  const double cap = kvDouble(kv, "capacity");
-  s.capacity = cap >= 1.0 ? static_cast<std::size_t>(cap) : 1;
-  s.lastSeen = std::chrono::steady_clock::now();
-  noteWorkerStats(s.workerName);
-  workerLoad_[s.workerName].live = 1;
+void Coordinator::handleRegister(SessionId id, const Message& m) {
+  // REGISTER and HEARTBEAT bodies are "key=value" lines, like job specs.
+  const KvConfig kv = KvConfig::fromString(m.text);
+  Worker& w = workers_[id];
+  w.name = kv.getOr("name", std::string());
+  if (w.name.empty()) w.name = "worker-" + std::to_string(id);
+  const double cap = kv.getOr("capacity", 0.0);
+  w.capacity = cap >= 1.0 ? static_cast<std::size_t>(cap) : 1;
+  w.lastSeen = Clock::now();
+  noteWorkerStats(w.name);
+  workerLoad_[w.name].live = 1;
   logMessage(LogLevel::Info, "coord",
-             "worker " + s.workerName + " registered (session " +
-                 std::to_string(s.id) + ", capacity " +
-                 std::to_string(s.capacity) + ")");
+             "worker " + w.name + " registered (session " + std::to_string(id) +
+                 ", capacity " + std::to_string(w.capacity) + ")");
 }
 
-void Coordinator::handleHeartbeat(Session& s, const Message& m) {
-  if (!s.worker) {
+void Coordinator::handleHeartbeat(SessionId id, const Message& m) {
+  auto wit = workers_.find(id);
+  if (wit == workers_.end()) {
     protocolErrors_.inc();
     logMessage(LogLevel::Warn, "coord",
-               "session " + std::to_string(s.id) + ": HEARTBEAT before REGISTER");
+               "session " + std::to_string(id) + ": HEARTBEAT before REGISTER");
     return;
   }
-  const auto now = std::chrono::steady_clock::now();
-  s.lastSeen = now;
-  const auto kv = parseKvLines(m.text);
-  WorkerLoad& load = workerLoad_[s.workerName];
-  load.queueDepth = kvDouble(kv, "queue_depth");
-  load.inflight = kvDouble(kv, "inflight");
-  load.queueWaitP50Ms = kvDouble(kv, "queue_wait_p50_ms");
+  Worker& w = wit->second;
+  const auto now = Clock::now();
+  w.lastSeen = now;
+  const KvConfig kv = KvConfig::fromString(m.text);
+  WorkerLoad& load = workerLoad_[w.name];
+  load.queueDepth = kv.getOr("queue_depth", 0.0);
+  load.inflight = kv.getOr("inflight", 0.0);
+  load.queueWaitP50Ms = kv.getOr("queue_wait_p50_ms", 0.0);
   load.live = 1;
   // A breathing worker renews its leases: expiry exists to catch dead or
   // partitioned holders, not long jobs on a healthy one.
-  for (std::uint64_t id : s.leases) {
-    auto it = jobs_.find(id);
+  for (std::uint64_t jobId : w.leases) {
+    auto it = jobs_.find(jobId);
     if (it != jobs_.end()) {
       it->second.deadline = now + std::chrono::milliseconds(cfg_.leaseTimeoutMs);
     }
   }
 }
 
-void Coordinator::handleWorkerResult(Session& s, const Message& m) {
+void Coordinator::handleWorkerResult(SessionId id, Worker& w, const Message& m) {
   if (m.jobId == 0) return;  // Admission ack for nothing we track.
   auto it = jobs_.find(m.jobId);
   if (it == jobs_.end()) {
@@ -555,10 +182,9 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
     case Op::Busy: {
       // Saturation, not failure: refund the attempt, put the job back, and
       // skip this worker for a beat so the next dispatch spreads out.
-      if (job.phase == FleetJob::Phase::Leased && job.worker == s.id) {
+      if (job.phase == FleetJob::Phase::Leased && job.worker == id) {
         job.attempts = job.attempts > 0 ? job.attempts - 1 : 0;
-        s.backoffUntil = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(cfg_.busyBackoffMs);
+        w.backoffUntil = Clock::now() + std::chrono::milliseconds(cfg_.busyBackoffMs);
         requeue(job, "worker busy");
       }
       return;
@@ -566,7 +192,7 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
     case Op::Error: {
       // Only the current lease holder's verdict counts; a stale holder's
       // error is superseded by the re-dispatch already in motion.
-      if (job.phase != FleetJob::Phase::Leased || job.worker != s.id) return;
+      if (job.phase != FleetJob::Phase::Leased || job.worker != id) return;
       if (retryable(m.errorCode)) {
         requeue(job, "worker error");
       } else {
@@ -580,12 +206,9 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
     case Op::Status: {
       if (job.phase == FleetJob::Phase::Done) return;
       if (m.state == JobState::Running && !job.canceled) {
-        auto cit = sessions_.find(job.clientSession);
-        if (cit != sessions_.end()) {
-          Message fwd = m;
-          fwd.requestId = job.clientRequest;
-          sendMessage(cit->second, fwd);
-        }
+        Message fwd = m;
+        fwd.requestId = job.clientRequest;
+        loop_.send(job.clientSession, fwd);
       } else if (m.state == JobState::Done || m.state == JobState::Failed) {
         // Stash the final status; the Report that follows on the same
         // stream commits both in order.
@@ -620,14 +243,18 @@ void Coordinator::handleWorkerResult(Session& s, const Message& m) {
   }
 }
 
-void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
+void Coordinator::dispatch(Clock::time_point now) {
   while (!pendingQ_.empty()) {
     // Least-loaded healthy worker with lease capacity to spare.
-    Session* best = nullptr;
-    for (auto& [sid, s] : sessions_) {
-      if (!s.worker || s.dead || s.leases.size() >= s.capacity) continue;
-      if (s.backoffUntil > now) continue;
-      if (!best || s.leases.size() < best->leases.size()) best = &s;
+    SessionId bestId = 0;
+    Worker* best = nullptr;
+    for (auto& [sid, w] : workers_) {
+      if (w.leases.size() >= w.capacity || w.backoffUntil > now) continue;
+      if (!loop_.isOpen(sid)) continue;
+      if (!best || w.leases.size() < best->leases.size()) {
+        best = &w;
+        bestId = sid;
+      }
     }
     if (!best) return;
     const std::uint64_t id = pendingQ_.front();
@@ -638,7 +265,7 @@ void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
     }
     FleetJob& job = it->second;
     job.phase = FleetJob::Phase::Leased;
-    job.worker = best->id;
+    job.worker = bestId;
     job.attempts++;
     job.deadline = now + std::chrono::milliseconds(cfg_.leaseTimeoutMs);
     if (job.firstLease == std::chrono::steady_clock::time_point{}) {
@@ -646,24 +273,19 @@ void Coordinator::dispatch(std::chrono::steady_clock::time_point now) {
       leaseWaitHist_.add(msSince(job.submitted, now));
     }
     best->leases.insert(id);
-    Message lease;
-    lease.op = Op::Lease;
-    lease.requestId = id;
-    lease.jobId = id;
-    lease.text = job.spec;
-    sendMessage(*best, lease);
+    loop_.send(bestId, {.op = Op::Lease, .requestId = id, .jobId = id, .text = job.spec});
   }
 }
 
-void Coordinator::expireLeases(std::chrono::steady_clock::time_point now) {
+void Coordinator::expireLeases(Clock::time_point now) {
   // Workers silent past the heartbeat window are dead; their sessions get
-  // flagged and the close path re-queues their leases.
-  for (auto& [sid, s] : sessions_) {
-    if (s.worker && !s.dead &&
-        now - s.lastSeen > std::chrono::milliseconds(cfg_.heartbeatTimeoutMs)) {
+  // dropped and the close path re-queues their leases.
+  for (auto& [sid, w] : workers_) {
+    if (loop_.isOpen(sid) &&
+        now - w.lastSeen > std::chrono::milliseconds(cfg_.heartbeatTimeoutMs)) {
       logMessage(LogLevel::Warn, "coord",
-                 "worker " + s.workerName + " missed heartbeats; dropping");
-      s.dead = true;
+                 "worker " + w.name + " missed heartbeats; dropping");
+      loop_.drop(sid);
     }
   }
   std::vector<std::uint64_t> expired;
@@ -680,21 +302,24 @@ void Coordinator::expireLeases(std::chrono::steady_clock::time_point now) {
     // Deprioritize the stalled holder so the redispatch prefers a
     // different worker; a lone worker becomes eligible again after the
     // backoff window.
-    auto wit = sessions_.find(it->second.worker);
-    if (wit != sessions_.end())
-      wit->second.backoffUntil =
-          now + std::chrono::milliseconds(cfg_.busyBackoffMs);
+    auto wit = workers_.find(it->second.worker);
+    if (wit != workers_.end())
+      wit->second.backoffUntil = now + std::chrono::milliseconds(cfg_.busyBackoffMs);
     requeue(it->second, "lease expired");
   }
 }
 
-void Coordinator::requeue(FleetJob& job, const char* why) {
+void Coordinator::releaseLease(FleetJob& job) {
   if (job.phase == FleetJob::Phase::Leased) {
-    auto wit = sessions_.find(job.worker);
-    if (wit != sessions_.end()) wit->second.leases.erase(job.id);
+    auto wit = workers_.find(job.worker);
+    if (wit != workers_.end()) wit->second.leases.erase(job.id);
   }
-  job.phase = FleetJob::Phase::Pending;
   job.worker = 0;
+}
+
+void Coordinator::requeue(FleetJob& job, const char* why) {
+  releaseLease(job);
+  job.phase = FleetJob::Phase::Pending;
   if (job.attempts >= cfg_.maxAttempts) {
     failJob(job, ErrCode::WorkerLost,
             "gave up after " + std::to_string(job.attempts) + " attempts (" +
@@ -710,31 +335,19 @@ void Coordinator::requeue(FleetJob& job, const char* why) {
 }
 
 void Coordinator::failJob(FleetJob& job, ErrCode code, const std::string& why) {
-  Message status;
-  status.op = Op::Status;
-  status.jobId = job.id;
-  status.state = JobState::Failed;
-  status.errorCode = code;
-  status.text = why;
-  Message report;
-  report.op = Op::Report;
-  report.jobId = job.id;
-  report.state = JobState::Failed;
-  report.errorCode = code;
-  report.text = failReportJson(why, code);
-  commit(job, std::move(status), std::move(report));
+  commit(job,
+         {.op = Op::Status, .jobId = job.id, .state = JobState::Failed,
+          .errorCode = code, .text = why},
+         {.op = Op::Report, .jobId = job.id, .state = JobState::Failed,
+          .errorCode = code, .text = failReportJson(why, code)});
 }
 
 void Coordinator::commit(FleetJob& job, Message status, Message report) {
   // First result wins; callers already filtered Phase::Done duplicates.
-  if (job.phase == FleetJob::Phase::Leased) {
-    auto wit = sessions_.find(job.worker);
-    if (wit != sessions_.end()) wit->second.leases.erase(job.id);
-  }
+  releaseLease(job);
   job.phase = FleetJob::Phase::Done;
-  job.worker = 0;
   (report.state == JobState::Failed ? failed_ : completed_)++;
-  latencyHist_.add(msSince(job.submitted, std::chrono::steady_clock::now()));
+  latencyHist_.add(msSince(job.submitted, Clock::now()));
   if (job.canceled) {
     jobs_.erase(job.id);  // Nobody is waiting; drop the result.
     return;
@@ -748,10 +361,10 @@ void Coordinator::commit(FleetJob& job, Message status, Message report) {
   deliverReady(job.clientSession);
 }
 
-void Coordinator::deliverReady(std::uint64_t clientSessionId) {
-  auto sit = sessions_.find(clientSessionId);
-  if (sit == sessions_.end()) return;
-  Session& cs = sit->second;
+void Coordinator::deliverReady(SessionId clientSessionId) {
+  auto sit = submitters_.find(clientSessionId);
+  if (sit == submitters_.end()) return;
+  Submitter& cs = sit->second;
   // Plan-order streaming: a finished job's report leaves only when every
   // job this client submitted before it has left too.
   while (!cs.order.empty()) {
@@ -762,69 +375,64 @@ void Coordinator::deliverReady(std::uint64_t clientSessionId) {
     }
     FleetJob& j = jit->second;
     if (j.phase != FleetJob::Phase::Done) break;
-    sendMessage(cs, j.finalStatus);
-    sendMessage(cs, j.finalReport);
+    loop_.send(clientSessionId, j.finalStatus);
+    loop_.send(clientSessionId, j.finalReport);
     if (cs.undelivered > 0) --cs.undelivered;
     cs.order.pop_front();
     jobs_.erase(jit);
   }
 }
 
-void Coordinator::cancelClientJobs(std::uint64_t clientSessionId) {
-  std::vector<std::uint64_t> mine;
-  for (auto& [id, j] : jobs_) {
-    if (j.clientSession == clientSessionId) mine.push_back(id);
-  }
-  for (std::uint64_t id : mine) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) continue;
-    FleetJob& j = it->second;
-    switch (j.phase) {
-      case FleetJob::Phase::Pending:
-        canceled_.inc();
-        jobs_.erase(it);  // pendingQ_ entry goes stale; dispatch skips it.
-        break;
-      case FleetJob::Phase::Leased:
-        // The worker finishes anyway; the result is discarded at commit.
-        canceled_.inc();
-        j.canceled = true;
-        break;
-      case FleetJob::Phase::Done:
-        jobs_.erase(it);  // Buffered but never deliverable now.
-        break;
+void Coordinator::onClose(SessionId id) {
+  if (auto wit = workers_.find(id); wit != workers_.end()) {
+    Worker& w = wit->second;
+    workersLost_.inc();
+    workerLoad_[w.name].live = 0;
+    if (!w.leases.empty()) {
+      logMessage(LogLevel::Warn, "coord",
+                 "worker " + w.name + " lost with " + std::to_string(w.leases.size()) +
+                     " lease(s); re-queueing");
     }
+    const std::vector<std::uint64_t> held(w.leases.begin(), w.leases.end());
+    for (std::uint64_t jobId : held) {
+      auto it = jobs_.find(jobId);
+      if (it != jobs_.end()) requeue(it->second, "worker lost");
+    }
+    workers_.erase(wit);
+  }
+  if (auto sit = submitters_.find(id); sit != submitters_.end()) {
+    // A departed client abandons its undelivered jobs.
+    for (std::uint64_t jobId : sit->second.order) {
+      auto it = jobs_.find(jobId);
+      if (it == jobs_.end()) continue;
+      switch (it->second.phase) {
+        case FleetJob::Phase::Pending:
+          canceled_.inc();
+          jobs_.erase(it);  // pendingQ_ entry goes stale; dispatch skips it.
+          break;
+        case FleetJob::Phase::Leased:
+          // The worker finishes anyway; the result is discarded at commit.
+          canceled_.inc();
+          it->second.canceled = true;
+          break;
+        case FleetJob::Phase::Done:
+          jobs_.erase(it);  // Buffered but never deliverable now.
+          break;
+      }
+    }
+    submitters_.erase(sit);
   }
 }
 
-void Coordinator::closeSession(Session& s) {
-  if (s.worker) {
-    workersLost_.inc();
-    workerLoad_[s.workerName].live = 0;
-    if (!s.leases.empty()) {
-      logMessage(LogLevel::Warn, "coord",
-                 "worker " + s.workerName + " lost with " +
-                     std::to_string(s.leases.size()) + " lease(s); re-queueing");
-    }
-    const std::vector<std::uint64_t> held(s.leases.begin(), s.leases.end());
-    for (std::uint64_t id : held) {
-      auto it = jobs_.find(id);
-      if (it != jobs_.end()) requeue(it->second, "worker lost");
-    }
-    s.leases.clear();
-  } else {
-    cancelClientJobs(s.id);
-  }
-  if (s.fd >= 0) {
-    ::close(s.fd);
-    s.fd = -1;
-  }
+bool Coordinator::owesWork(SessionId id) const {
+  if (workers_.count(id)) return true;  // Workers never idle out.
+  auto it = submitters_.find(id);
+  return it != submitters_.end() && it->second.undelivered > 0;
 }
 
 std::size_t Coordinator::liveWorkers() const {
   std::size_t n = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (s.worker && !s.dead) ++n;
-  }
+  for (const auto& [id, w] : workers_) n += loop_.isOpen(id);
   return n;
 }
 
@@ -843,27 +451,21 @@ void Coordinator::noteWorkerStats(const std::string& name) {
 
 std::string Coordinator::statsJson() {
   std::ostringstream os;
-  os << "{\"coordinator\": {";
-  const std::vector<std::string>& names = metrics_.names();
-  const std::vector<double> values = metrics_.sample();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << names[i] << "\": " << values[i];
-  }
-  os << "}, \"workers\": {";
+  os << "{\"coordinator\": ";
+  writeRegistryJson(os, metrics_);
+  os << ", \"workers\": {";
   bool first = true;
   for (const auto& [name, load] : workerLoad_) {
     if (!first) os << ", ";
     first = false;
-    os << '"' << jsonEscape(name) << "\": {\"live\": " << load.live
+    os << '"' << telemetry::jsonEscape(name) << "\": {\"live\": " << load.live
        << ", \"queue_depth\": " << load.queueDepth
        << ", \"inflight\": " << load.inflight
        << ", \"queue_wait_p50_ms\": " << load.queueWaitP50Ms << "}";
   }
-  os << "}, \"lease_wait_ms\": ";
-  histogramJson(os, leaseWaitHist_);
-  os << ", \"job_latency_ms\": ";
-  histogramJson(os, latencyHist_);
+  os << "}";
+  writeHistogramsJson(os, {{"lease_wait_ms", &leaseWaitHist_},
+                           {"job_latency_ms", &latencyHist_}});
   os << "}\n";
   return os.str();
 }
@@ -877,146 +479,33 @@ std::string Coordinator::metricsText() {
                                      "renuca_");
 }
 
+void Coordinator::onTick(Clock::time_point now) {
+  expireLeases(now);
+  dispatch(now);
+  if (loop_.draining() && liveWorkers() == 0 && !jobs_.empty()) failStranded();
+}
+
+bool Coordinator::drained() { return jobs_.empty(); }
+
+void Coordinator::failStranded() {
+  // Nothing left to run the work; fail it rather than hang the drain.
+  std::vector<std::uint64_t> ids;
+  for (auto& [id, j] : jobs_) {
+    if (j.phase != FleetJob::Phase::Done) ids.push_back(id);
+  }
+  for (std::uint64_t id : ids) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) continue;
+    releaseLease(it->second);
+    it->second.phase = FleetJob::Phase::Pending;
+    failJob(it->second, ErrCode::Canceled, "no workers left during drain");
+  }
+  pendingQ_.clear();
+}
+
 int Coordinator::run() {
-  const auto idleTimeout = std::chrono::milliseconds(cfg_.idleTimeoutMs);
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fdSession;
-  for (;;) {
-    drainAdopted();
-    const auto now = std::chrono::steady_clock::now();
-
-    if (stopFlag_.load(std::memory_order_relaxed) && !draining_) {
-      draining_ = true;
-      logMessage(LogLevel::Info, "coord", "draining: finishing leased work");
-      for (int fd : listenFds_) ::close(fd);
-      listenFds_.clear();
-    }
-
-    expireLeases(now);
-    dispatch(now);
-
-    if (draining_) {
-      if (liveWorkers() == 0 && !jobs_.empty()) {
-        // Nothing left to run the work; fail it rather than hang the drain.
-        std::vector<std::uint64_t> ids;
-        for (auto& [id, j] : jobs_) {
-          if (j.phase != FleetJob::Phase::Done) ids.push_back(id);
-        }
-        for (std::uint64_t id : ids) {
-          auto it = jobs_.find(id);
-          if (it == jobs_.end()) continue;
-          if (it->second.phase == FleetJob::Phase::Leased) {
-            auto wit = sessions_.find(it->second.worker);
-            if (wit != sessions_.end()) wit->second.leases.erase(id);
-            it->second.worker = 0;
-            it->second.phase = FleetJob::Phase::Pending;
-          }
-          failJob(it->second, ErrCode::Canceled, "no workers left during drain");
-        }
-        pendingQ_.clear();
-      }
-      bool flushed = jobs_.empty();
-      if (flushed) {
-        for (auto& [id, s] : sessions_) {
-          if (s.outOff < s.out.size() && !s.dead) {
-            flushed = false;
-            break;
-          }
-        }
-      }
-      if (flushed) break;
-    }
-
-    fds.clear();
-    fdSession.clear();
-    if (wakePipe_[0] >= 0) {
-      fds.push_back({wakePipe_[0], POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (int fd : listenFds_) {
-      fds.push_back({fd, POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (auto& [id, s] : sessions_) {
-      short events = 0;
-      if (!s.dead && s.out.size() - s.outOff < cfg_.softWriteBuffer)
-        events |= POLLIN;
-      if (s.outOff < s.out.size()) events |= POLLOUT;
-      if (events == 0 && !s.dead) events = POLLIN;
-      fds.push_back({s.fd, events, 0});
-      fdSession.push_back(id);
-    }
-
-    const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
-    if (n < 0 && errno != EINTR) {
-      logMessage(LogLevel::Error, "coord", "poll: " + errnoString());
-      break;
-    }
-
-    std::vector<std::uint64_t> toClose;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const pollfd& p = fds[i];
-      if (p.revents == 0) continue;
-      if (p.fd == wakePipe_[0]) {
-        char buf[256];
-        while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (fdSession[i] == 0) {
-        acceptPending(p.fd);
-        continue;
-      }
-      auto it = sessions_.find(fdSession[i]);
-      if (it == sessions_.end()) continue;
-      Session& s = it->second;
-      bool alive = true;
-      if (p.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (p.revents & POLLOUT)) alive = flushSession(s);
-      if (alive && (p.revents & (POLLIN | POLLHUP))) alive = readSession(s);
-      if (alive && s.outOff < s.out.size()) alive = flushSession(s);
-      if (!alive) {
-        s.dead = true;
-        toClose.push_back(s.id);
-      } else if (s.dead) {
-        toClose.push_back(s.id);
-      }
-    }
-
-    const auto sweep = std::chrono::steady_clock::now();
-    for (auto& [id, s] : sessions_) {
-      if (s.dead) {
-        // Heartbeat expiry flags sessions outside the event sweep above;
-        // make sure every dead session is reaped this round.
-        toClose.push_back(id);
-        continue;
-      }
-      if (!s.worker && cfg_.idleTimeoutMs > 0 && s.undelivered == 0 &&
-          s.out.size() == s.outOff && sweep - s.lastActive > idleTimeout) {
-        logMessage(LogLevel::Info, "coord",
-                   "session " + std::to_string(id) + ": idle timeout");
-        s.dead = true;
-        toClose.push_back(id);
-      }
-    }
-    for (std::uint64_t id : toClose) {
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      flushSession(it->second);
-      closeSession(it->second);
-      sessions_.erase(it);
-    }
-  }
-
-  for (auto& [id, s] : sessions_) {
-    flushSession(s);
-    if (s.fd >= 0) {
-      ::close(s.fd);
-      s.fd = -1;
-    }
-  }
-  sessions_.clear();
-  if (!cfg_.socketPath.empty()) ::unlink(cfg_.socketPath.c_str());
+  loop_.run();
+  loop_.closeAll();
   logMessage(LogLevel::Info, "coord", "drained; exiting");
   return 0;
 }

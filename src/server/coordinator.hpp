@@ -34,33 +34,29 @@
 //  * Drain: Shutdown/SIGTERM stops admission (BUSY), lets leased work
 //    finish, and fails whatever cannot run if no worker is left alive.
 //
-// Like renucad, the loop is single-threaded poll(): every socket, lease
-// table, and buffer belongs to the loop thread; requestStop() is the only
-// cross-thread entry point (async-signal-safe).
+// Like renucad, it runs on a SessionLoop (server/session_loop.hpp): every
+// socket, lease table, and buffer belongs to the loop thread; requestStop()
+// and adoptConnection() are the only cross-thread entry points.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "server/protocol.hpp"
+#include "server/session_loop.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace renuca::server {
 
-struct CoordinatorConfig {
-  /// Unix-domain listen path; empty = no Unix listener (tests adopt
-  /// socketpair ends instead).
-  std::string socketPath;
-  /// Optional TCP listener, "host:port" ("" or "*" host = any interface).
-  std::string listenHostPort;
+/// idleTimeoutMs (SessionLoopConfig) applies to client sessions only, never
+/// to workers.
+struct CoordinatorConfig : SessionLoopConfig {
   /// Admission bound across all clients; a full backlog answers BUSY.
   std::size_t maxQueue = 4096;
   /// A lease not renewed (by its holder's heartbeats) within this window
@@ -73,99 +69,88 @@ struct CoordinatorConfig {
   int maxAttempts = 5;
   /// A worker that answered BUSY is skipped for this long.
   int busyBackoffMs = 300;
-  /// Client sessions with no traffic and no jobs in flight are closed
-  /// after this long (<= 0 = never).  Never applies to workers.
-  int idleTimeoutMs = 0;
-  /// Frames larger than this are a fatal protocol violation.
-  std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Reading pauses for a session whose unsent backlog passes this...
-  std::size_t softWriteBuffer = 1u << 20;
-  /// ...and the session is dropped outright past this.
-  std::size_t maxWriteBuffer = 64u << 20;
 };
 
-class Coordinator {
+class Coordinator : private SessionLoop::Handler {
  public:
   explicit Coordinator(CoordinatorConfig cfg);
-  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Binds the configured listeners.  Optional: a coordinator can run
   /// purely on adopted connections (the in-process fleet tests do).
-  bool listen();
+  bool listen() { return loop_.listen(); }
 
   /// Hands the coordinator one end of an already-connected stream socket.
   /// Whether the peer is a client or a worker emerges from its first
   /// frames (a worker REGISTERs).  Thread-safe.
-  void adoptConnection(int fd);
+  void adoptConnection(int fd) { loop_.adoptConnection(fd); }
 
   /// Runs the event loop until a stop request drains.  Returns 0 on a
   /// clean drain.
   int run();
 
   /// Begins a graceful drain.  Async-signal-safe.
-  void requestStop();
+  void requestStop() { loop_.requestStop(); }
 
  private:
-  struct Session {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::vector<std::uint8_t> in;
-    std::vector<std::uint8_t> out;  ///< Bytes [outOff, end) are unsent.
-    std::size_t outOff = 0;
-    bool dead = false;
-    // Worker half (set by REGISTER).
-    bool worker = false;
-    std::string workerName;
-    std::size_t capacity = 1;           ///< Max concurrent leases.
-    std::set<std::uint64_t> leases;     ///< Fleet job ids held right now.
-    std::chrono::steady_clock::time_point lastSeen;
-    std::chrono::steady_clock::time_point backoffUntil{};
-    // Client half.
+  using Clock = SessionLoop::Clock;
+  using SessionId = SessionLoop::SessionId;
+
+  /// The worker half of a session (created by REGISTER).
+  struct Worker {
+    std::string name;
+    std::size_t capacity = 1;        ///< Max concurrent leases.
+    std::set<std::uint64_t> leases;  ///< Fleet job ids held right now.
+    Clock::time_point lastSeen;
+    Clock::time_point backoffUntil{};
+  };
+
+  /// The client half of a session (created by its first admitted SUBMIT).
+  struct Submitter {
     std::deque<std::uint64_t> order;  ///< Submission order for delivery.
     std::size_t undelivered = 0;      ///< Jobs admitted, report not yet sent.
-    std::chrono::steady_clock::time_point lastActive;
   };
 
   /// One sharded job, from admission to ordered delivery.
   struct FleetJob {
     enum class Phase : std::uint8_t { Pending, Leased, Done };
     std::uint64_t id = 0;
-    std::uint64_t clientSession = 0;
+    SessionId clientSession = 0;
     std::uint64_t clientRequest = 0;
     std::string spec;
     Phase phase = Phase::Pending;
     int attempts = 0;               ///< Dispatches consumed.
-    std::uint64_t worker = 0;       ///< Lease holder's session id (Leased).
+    SessionId worker = 0;           ///< Lease holder's session id (Leased).
     bool canceled = false;          ///< Client left; discard the result.
-    bool delivered = false;
-    std::chrono::steady_clock::time_point submitted;
-    std::chrono::steady_clock::time_point firstLease{};
-    std::chrono::steady_clock::time_point deadline{};
+    Clock::time_point submitted;
+    Clock::time_point firstLease{};
+    Clock::time_point deadline{};
     Message finalStatus;  ///< Buffered for in-order delivery once Done.
     Message finalReport;
   };
 
-  // Event-loop internals (loop thread only).
-  void drainAdopted();
-  void acceptPending(int listenFd);
-  Session& addSession(int fd);
-  bool readSession(Session& s);
-  bool flushSession(Session& s);
-  void sendMessage(Session& s, const Message& m);
-  void handleMessage(Session& s, const Message& m);
-  void handleSubmit(Session& s, const Message& m);
-  void handleRegister(Session& s, const Message& m);
-  void handleHeartbeat(Session& s, const Message& m);
-  void handleWorkerResult(Session& s, const Message& m);
-  void closeSession(Session& s);
+  // SessionLoop::Handler (loop thread).
+  bool onMessage(SessionId id, const Message& m) override;
+  void onTick(Clock::time_point now) override;
+  void onClose(SessionId id) override;
+  bool owesWork(SessionId id) const override;
+  bool drained() override;
+  std::string statsJson() override;
+  std::string metricsText() override;
+
+  void handleSubmit(SessionId id, const Message& m);
+  void handleRegister(SessionId id, const Message& m);
+  void handleHeartbeat(SessionId id, const Message& m);
+  void handleWorkerResult(SessionId id, Worker& w, const Message& m);
 
   /// Grants pending jobs to healthy workers with free capacity.
-  void dispatch(std::chrono::steady_clock::time_point now);
-  /// Re-queues expired leases; kills workers silent past the heartbeat
-  /// timeout (their sessions are flagged dead and reaped by run()).
-  void expireLeases(std::chrono::steady_clock::time_point now);
+  void dispatch(Clock::time_point now);
+  /// Re-queues expired leases; drops workers silent past the heartbeat
+  /// timeout (the loop closes them, and onClose re-queues their leases).
+  void expireLeases(Clock::time_point now);
+  /// Draining with no live worker: fails every unfinished job.
+  void failStranded();
   /// Re-queues one leased job (lease lost / retryable failure).
   void requeue(FleetJob& job, const char* why);
   /// Commits the final result for a job (first writer wins) and releases
@@ -175,27 +160,25 @@ class Coordinator {
   void failJob(FleetJob& job, ErrCode code, const std::string& why);
   /// Sends every buffered result at the front of the session's order
   /// queue whose job is Done.
-  void deliverReady(std::uint64_t clientSessionId);
-  /// Drops a departed client's unfinished jobs.
-  void cancelClientJobs(std::uint64_t clientSessionId);
+  void deliverReady(SessionId clientSessionId);
+  /// Forgets a job's lease on its holder (if any).
+  void releaseLease(FleetJob& job);
 
-  std::string statsJson();
-  std::string metricsText();
   std::size_t liveWorkers() const;
   void noteWorkerStats(const std::string& name);
-  void wake();
 
   CoordinatorConfig cfg_;
-  std::vector<int> listenFds_;
-  int wakePipe_[2] = {-1, -1};
-  std::map<std::uint64_t, Session> sessions_;
-  std::uint64_t nextSessionId_ = 1;
-  std::uint64_t nextJobId_ = 1;
-  bool draining_ = false;
 
-  std::atomic<bool> stopFlag_{false};
-  std::mutex adoptMutex_;
-  std::vector<int> adopted_;
+  // Declared before loop_, which counts protocol errors into protocolErrors_.
+  telemetry::MetricsRegistry metrics_;
+  telemetry::Counter submitted_;
+  telemetry::Counter rejected_;
+  telemetry::Counter protocolErrors_;
+
+  SessionLoop loop_;
+  std::map<SessionId, Worker> workers_;
+  std::map<SessionId, Submitter> submitters_;
+  std::uint64_t nextJobId_ = 1;
 
   std::map<std::uint64_t, FleetJob> jobs_;  ///< Every unfinished job.
   std::deque<std::uint64_t> pendingQ_;      ///< Awaiting dispatch (FIFO).
@@ -210,10 +193,6 @@ class Coordinator {
   };
   std::map<std::string, WorkerLoad> workerLoad_;
 
-  telemetry::MetricsRegistry metrics_;
-  telemetry::Counter submitted_;
-  telemetry::Counter rejected_;
-  telemetry::Counter protocolErrors_;
   telemetry::Counter redispatched_;
   telemetry::Counter duplicatesDiscarded_;
   telemetry::Counter workersLost_;

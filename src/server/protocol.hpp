@@ -64,6 +64,8 @@
 
 namespace renuca::server {
 
+/// Frame cap on both ends: a longer length prefix is a Fatal protocol
+/// violation.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 16u << 20;
 
 enum class Op : std::uint32_t {
@@ -116,7 +118,7 @@ struct Message {
   std::uint64_t jobId = 0;      ///< Server-assigned (0 before admission).
   JobState state = JobState::Queued;  ///< Meaningful on Status frames.
   ErrCode errorCode = ErrCode::None;  ///< Failure class on Failed frames.
-  std::string text;             ///< Spec / report / stats JSON / error text.
+  std::string text{};           ///< Spec / report / stats JSON / error text.
 };
 
 /// Encodes a message as one complete frame (length prefix included).

@@ -1,16 +1,8 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -23,43 +15,18 @@ namespace renuca::server {
 
 namespace {
 
-constexpr int kPollMs = 200;
-
-bool setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string errnoString() { return std::strerror(errno); }
-
-/// Splits "host:port"; empty or "*" host means any interface.
-bool splitHostPort(const std::string& s, std::string& host, std::uint16_t& port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  host = s.substr(0, colon);
-  const std::string portStr = s.substr(colon + 1);
-  if (portStr.empty()) return false;
-  unsigned long p = 0;
-  for (char c : portStr) {
-    if (c < '0' || c > '9') return false;
-    p = p * 10 + static_cast<unsigned long>(c - '0');
-    if (p > 65535) return false;
-  }
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
-void histogramJson(std::ostringstream& os, const Histogram& h) {
-  os << "{\"count\": " << h.total() << ", \"p50\": " << h.percentile(0.50)
-     << ", \"p90\": " << h.percentile(0.90) << ", \"p99\": " << h.percentile(0.99)
-     << "}";
-}
+/// Reconnect backoff cap after the coordinator link drops.
+constexpr int kReconnectMaxMs = 10000;
 
 }  // namespace
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       pool_(std::make_unique<ThreadPool>(sim::resolveJobs(cfg_.jobs))),
+      accepted_(metrics_.counter("server/accepted")),
+      rejected_(metrics_.counter("server/rejected")),
+      protocolErrors_(metrics_.counter("server/protocol_errors")),
+      loop_(cfg_, *this, "server", "from a client", protocolErrors_),
       queueDepthHist_(1.0, cfg_.maxQueue + 2),
       latencyHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
       queueWaitHist_(/*bucketWidth=*/25.0, /*numBuckets=*/4096),
@@ -77,16 +44,6 @@ Server::Server(ServerConfig cfg)
       jobTracer_.reset();
     }
   }
-  if (pipe(wakePipe_) != 0) {
-    logMessage(LogLevel::Error, "server", "pipe() failed: " + errnoString());
-    wakePipe_[0] = wakePipe_[1] = -1;
-  } else {
-    setNonBlocking(wakePipe_[0]);
-    setNonBlocking(wakePipe_[1]);
-  }
-  accepted_ = metrics_.counter("server/accepted");
-  rejected_ = metrics_.counter("server/rejected");
-  protocolErrors_ = metrics_.counter("server/protocol_errors");
   metrics_.gauge("server/inflight",
                  [this] { return static_cast<double>(inflightA_.load()); });
   metrics_.gauge("server/completed",
@@ -96,149 +53,19 @@ Server::Server(ServerConfig cfg)
   metrics_.gauge("server/queue_depth",
                  [this] { return static_cast<double>(queueDepthA_.load()); });
   metrics_.gauge("server/sessions",
-                 [this] { return static_cast<double>(sessionsA_.load()); });
-}
-
-Server::~Server() {
-  for (auto& [id, s] : sessions_) {
-    if (s.fd >= 0) ::close(s.fd);
-  }
-  for (int fd : listenFds_) ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    for (int fd : adopted_) ::close(fd);
-    for (int fd : adoptedCoord_) ::close(fd);
-  }
-  if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
-  if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
-}
-
-bool Server::listen() {
-  if (!cfg_.socketPath.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (cfg_.socketPath.size() >= sizeof(addr.sun_path)) {
-      logMessage(LogLevel::Error, "server",
-                 "socket path too long: " + cfg_.socketPath);
-      return false;
-    }
-    std::memcpy(addr.sun_path, cfg_.socketPath.c_str(), cfg_.socketPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "server", "socket(AF_UNIX): " + errnoString());
-      return false;
-    }
-    ::unlink(cfg_.socketPath.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "server",
-                 "bind/listen " + cfg_.socketPath + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "server", "listening on " + cfg_.socketPath);
-  }
-  if (!cfg_.listenHostPort.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!splitHostPort(cfg_.listenHostPort, host, port)) {
-      logMessage(LogLevel::Error, "server",
-                 "bad listen address '" + cfg_.listenHostPort + "' (want host:port)");
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (host.empty() || host == "*") {
-      addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      logMessage(LogLevel::Error, "server", "bad listen host '" + host + "'");
-      return false;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      logMessage(LogLevel::Error, "server", "socket(AF_INET): " + errnoString());
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 128) != 0 || !setNonBlocking(fd)) {
-      logMessage(LogLevel::Error, "server",
-                 "bind/listen " + cfg_.listenHostPort + ": " + errnoString());
-      ::close(fd);
-      return false;
-    }
-    listenFds_.push_back(fd);
-    logMessage(LogLevel::Info, "server", "listening on " + cfg_.listenHostPort);
-  }
-  if (listenFds_.empty()) {
-    logMessage(LogLevel::Error, "server", "no listeners configured");
-    return false;
-  }
-  return true;
-}
-
-void Server::adoptConnection(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adopted_.push_back(fd);
-  }
-  wake();
+                 [this] { return static_cast<double>(loop_.sessionCount()); });
 }
 
 void Server::adoptCoordinator(int fd) {
-  setNonBlocking(fd);
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    adoptedCoord_.push_back(fd);
-  }
-  wake();
+  loop_.adoptConnection(fd, [this](SessionId id) { attachCoordinator(id); });
 }
 
-void Server::requestStop() {
-  stopFlag_.store(true, std::memory_order_relaxed);
-  // write() is on the async-signal-safe list; the byte's only job is to
-  // interrupt poll().
-  if (wakePipe_[1] >= 0) {
-    const char b = 's';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Server::wake() {
-  if (wakePipe_[1] >= 0) {
-    const char b = 'w';
-    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &b, 1);
-  }
-}
-
-void Server::postOutgoing(std::uint64_t sessionId, Message m) {
+void Server::postOutgoing(SessionId sessionId, Message m) {
   {
     std::lock_guard<std::mutex> lk(outgoingMutex_);
     outgoing_.push_back(Outgoing{sessionId, std::move(m)});
   }
-  wake();
-}
-
-void Server::drainAdopted() {
-  std::vector<int> fds;
-  std::vector<int> coordFds;
-  {
-    std::lock_guard<std::mutex> lk(adoptMutex_);
-    fds.swap(adopted_);
-    coordFds.swap(adoptedCoord_);
-  }
-  for (int fd : fds) addSession(fd);
-  for (int fd : coordFds) {
-    Session& s = addSession(fd);
-    s.coordinator = true;
-    coordSessionId_ = s.id;
-    lastHeartbeat_ = std::chrono::steady_clock::now();
-    registerWithCoordinator(s);
-  }
+  loop_.wake();
 }
 
 void Server::drainOutgoing() {
@@ -248,160 +75,40 @@ void Server::drainOutgoing() {
     batch.swap(outgoing_);
   }
   for (Outgoing& o : batch) {
-    auto it = sessions_.find(o.sessionId);
-    if (it == sessions_.end()) continue;  // Client left; drop its events.
-    if (o.msg.op == Op::Report && it->second.inflight > 0) --it->second.inflight;
-    sendMessage(it->second, o.msg);
+    auto it = inflight_.find(o.sessionId);
+    if (it == inflight_.end()) continue;  // Client left; drop its events.
+    if (o.msg.op == Op::Report && it->second > 0) --it->second;
+    loop_.send(o.sessionId, o.msg);
   }
 }
 
-Server::Session& Server::addSession(int fd) {
-  Session s;
-  s.fd = fd;
-  s.id = nextSessionId_++;
-  s.lastActive = std::chrono::steady_clock::now();
-  auto [it, inserted] = sessions_.emplace(s.id, std::move(s));
-  sessionsA_.store(sessions_.size(), std::memory_order_relaxed);
-  return it->second;
-}
-
-void Server::acceptPending(int listenFd) {
-  for (;;) {
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN (drained) or a transient error; poll will retry.
-    }
-    setNonBlocking(fd);
-    addSession(fd);
-  }
-}
-
-void Server::sendMessage(Session& s, const Message& m) {
-  if (s.dead) return;
-  const std::vector<std::uint8_t> frame = encodeFrame(m);
-  s.out.insert(s.out.end(), frame.begin(), frame.end());
-  if (s.out.size() - s.outOff > cfg_.maxWriteBuffer) {
-    logMessage(LogLevel::Warn, "server",
-               "session " + std::to_string(s.id) + ": write backlog over " +
-                   std::to_string(cfg_.maxWriteBuffer) + " bytes, dropping client");
-    s.dead = true;
-  }
-}
-
-bool Server::flushSession(Session& s) {
-  while (s.outOff < s.out.size()) {
-    const std::size_t chunk = s.out.size() - s.outOff;
-    const ssize_t n =
-        ::send(s.fd, s.out.data() + s.outOff, chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      s.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;  // Peer gone.
-  }
-  if (s.outOff == s.out.size()) {
-    s.out.clear();
-    s.outOff = 0;
-  } else if (s.outOff > (1u << 20)) {
-    s.out.erase(s.out.begin(), s.out.begin() + static_cast<std::ptrdiff_t>(s.outOff));
-    s.outOff = 0;
-  }
-  return true;
-}
-
-bool Server::readSession(Session& s) {
-  for (;;) {
-    std::uint8_t tmp[65536];
-    const ssize_t n = ::recv(s.fd, tmp, sizeof(tmp), 0);
-    if (n > 0) {
-      s.in.insert(s.in.end(), tmp, tmp + n);
-      s.lastActive = std::chrono::steady_clock::now();
-      if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
-      continue;
-    }
-    if (n == 0) return false;  // EOF.
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-  for (;;) {
-    Message m;
-    std::string err;
-    switch (decodeFrame(s.in, cfg_.maxFrameBytes, m, err)) {
-      case DecodeStatus::NeedMore:
-        return true;
-      case DecodeStatus::Frame:
-        handleMessage(s, m);
-        break;
-      case DecodeStatus::BadPayload: {
-        // The frame boundary was sound, only the payload is damaged: tell
-        // the client and keep the session — the next frame decodes fine.
-        protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;  // Best effort; 0 if the head died.
-        reply.text = err;
-        sendMessage(s, reply);
-        logMessage(LogLevel::Warn, "server",
-                   "session " + std::to_string(s.id) + ": " + err);
-        break;
-      }
-      case DecodeStatus::Fatal:
-        protocolErrors_.inc();
-        logMessage(LogLevel::Warn, "server",
-                   "session " + std::to_string(s.id) + ": " + err + "; closing");
-        return false;
-    }
-    if (s.dead) return true;  // Flagged mid-loop; let the main loop close it.
-  }
-}
-
-void Server::handleSubmit(Session& s, const Message& m, bool lease) {
+void Server::handleSubmit(SessionId id, const Message& m, bool lease) {
   // A LEASE is a SUBMIT whose job id the coordinator owns: every reply
   // echoes m.jobId (the fleet-global id) so the coordinator can route the
   // result, and rejections carry an ErrCode it can act on (BUSY = try
   // another worker, SIM = the spec itself is bad — don't retry).
-  Message reply;
-  reply.requestId = m.requestId;
-  if (lease) reply.jobId = m.jobId;
-  if (draining_) {
-    reply.op = Op::Busy;
-    reply.errorCode = ErrCode::Busy;
-    reply.text = "server is draining";
+  const auto reject = [&](Op op, ErrCode code, std::string why) {
     rejected_.inc();
-    sendMessage(s, reply);
-    return;
-  }
+    loop_.send(id, {.op = op, .requestId = m.requestId, .jobId = lease ? m.jobId : 0,
+                    .errorCode = code, .text = std::move(why)});
+  };
+  if (loop_.draining()) return reject(Op::Busy, ErrCode::Busy, "server is draining");
   sim::Job job;
   std::string err;
-  if (!parseJobSpec(m.text, job, err)) {
-    reply.op = Op::Error;
-    reply.errorCode = ErrCode::Sim;
-    reply.text = err;
-    rejected_.inc();
-    sendMessage(s, reply);
-    return;
-  }
+  if (!parseJobSpec(m.text, job, err)) return reject(Op::Error, ErrCode::Sim, err);
   std::size_t depth = 0;
   const std::uint64_t jobId = nextJobId_;
   const std::uint64_t wireJobId = lease ? m.jobId : jobId;
   {
     std::lock_guard<std::mutex> lk(queueMutex_);
     if (pending_.size() >= cfg_.maxQueue) {
-      reply.op = Op::Busy;
-      reply.errorCode = ErrCode::Busy;
-      reply.text = "job queue full (" + std::to_string(cfg_.maxQueue) + ")";
-      rejected_.inc();
-      sendMessage(s, reply);
-      return;
+      return reject(Op::Busy, ErrCode::Busy,
+                    "job queue full (" + std::to_string(cfg_.maxQueue) + ")");
     }
     QueuedJob q;
     q.jobId = jobId;
     q.wireJobId = wireJobId;
-    q.sessionId = s.id;
+    q.sessionId = id;
     q.requestId = m.requestId;
     q.submitted = std::chrono::steady_clock::now();
     q.job = std::move(job);
@@ -416,108 +123,45 @@ void Server::handleSubmit(Session& s, const Message& m, bool lease) {
     queueDepthHist_.add(static_cast<double>(depth));
   }
   accepted_.inc();
-  s.inflight++;
-  reply.op = Op::Accepted;
-  reply.jobId = wireJobId;
-  sendMessage(s, reply);
-  Message status;
-  status.op = Op::Status;
-  status.requestId = m.requestId;
-  status.jobId = wireJobId;
-  status.state = JobState::Queued;
-  sendMessage(s, status);
+  inflight_[id]++;
+  loop_.send(id, {.op = Op::Accepted, .requestId = m.requestId, .jobId = wireJobId});
+  loop_.send(id, {.op = Op::Status, .requestId = m.requestId, .jobId = wireJobId,
+                  .state = JobState::Queued});
 }
 
-void Server::handleMessage(Session& s, const Message& m) {
+bool Server::onMessage(SessionId id, const Message& m) {
   switch (m.op) {
     case Op::Submit:
-      handleSubmit(s, m, /*lease=*/false);
-      return;
-    case Op::Lease: {
-      if (!s.coordinator) {
+      handleSubmit(id, m, /*lease=*/false);
+      return true;
+    case Op::Lease:
+      if (id == coordSessionId_) {
+        handleSubmit(id, m, /*lease=*/true);
+      } else {
         protocolErrors_.inc();
-        Message reply;
-        reply.op = Op::Error;
-        reply.requestId = m.requestId;
-        reply.jobId = m.jobId;
-        reply.errorCode = ErrCode::Sim;
-        reply.text = "LEASE on a non-coordinator session";
-        sendMessage(s, reply);
-        return;
+        loop_.send(id, {.op = Op::Error, .requestId = m.requestId, .jobId = m.jobId,
+                        .errorCode = ErrCode::Sim,
+                        .text = "LEASE on a non-coordinator session"});
       }
-      handleSubmit(s, m, /*lease=*/true);
-      return;
-    }
+      return true;
     case Op::Pong:
-      return;  // Keepalive reply; nothing to do.
-    case Op::Stats: {
-      Message reply;
-      reply.op = Op::StatsReply;
-      reply.requestId = m.requestId;
-      reply.text = statsJson();
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Shutdown: {
-      Message reply;
-      reply.op = Op::Accepted;
-      reply.requestId = m.requestId;
-      reply.text = "draining";
-      sendMessage(s, reply);
-      logMessage(LogLevel::Info, "server",
-                 "shutdown requested by session " + std::to_string(s.id));
-      requestStop();
-      return;
-    }
-    case Op::Ping: {
-      Message reply;
-      reply.op = Op::Pong;
-      reply.requestId = m.requestId;
-      reply.text = m.text;
-      sendMessage(s, reply);
-      return;
-    }
-    case Op::Metrics: {
-      Message reply;
-      reply.op = Op::MetricsReply;
-      reply.requestId = m.requestId;
-      reply.text = metricsText();
-      sendMessage(s, reply);
-      return;
-    }
-    default: {
-      protocolErrors_.inc();
-      Message reply;
-      reply.op = Op::Error;
-      reply.requestId = m.requestId;
-      reply.text = std::string("unexpected opcode ") + toString(m.op) +
-                   " from a client";
-      sendMessage(s, reply);
-      return;
-    }
+      return true;  // Keepalive reply; nothing to do.
+    default:
+      return false;
   }
 }
 
 std::string Server::statsJson() {
   std::ostringstream os;
-  os << "{\"server\": {";
-  const std::vector<std::string>& names = metrics_.names();
-  const std::vector<double> values = metrics_.sample();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << names[i] << "\": " << values[i];
-  }
-  os << "}, \"workers\": " << pool_->threadCount();
+  os << "{\"server\": ";
+  writeRegistryJson(os, metrics_);
+  os << ", \"workers\": " << pool_->threadCount();
   {
     std::lock_guard<std::mutex> lk(statsMutex_);
-    os << ", \"queue_depth_hist\": ";
-    histogramJson(os, queueDepthHist_);
-    os << ", \"job_latency_ms\": ";
-    histogramJson(os, latencyHist_);
-    os << ", \"queue_wait_ms\": ";
-    histogramJson(os, queueWaitHist_);
-    os << ", \"exec_ms\": ";
-    histogramJson(os, execHist_);
+    writeHistogramsJson(os, {{"queue_depth_hist", &queueDepthHist_},
+                             {"job_latency_ms", &latencyHist_},
+                             {"queue_wait_ms", &queueWaitHist_},
+                             {"exec_ms", &execHist_}});
   }
   os << "}\n";
   return os.str();
@@ -533,13 +177,6 @@ std::string Server::metricsText() {
                                      "renucad_");
 }
 
-Cycle Server::traceNowUs() const {
-  return static_cast<Cycle>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - startTime_)
-          .count());
-}
-
 void Server::jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle end) {
   if (!jobTracer_) return;
   std::lock_guard<std::mutex> lk(jobTracerMutex_);
@@ -550,15 +187,41 @@ void Server::jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle e
                     {"session", static_cast<std::int64_t>(q.sessionId)}});
 }
 
-void Server::closeSession(Session& s) {
-  if (s.coordinator && s.id == coordSessionId_) {
+void Server::onClose(SessionId id) {
+  if (id == coordSessionId_) {
     coordSessionId_ = 0;  // maintainCoordinatorLink() reconnects.
     logMessage(LogLevel::Warn, "server", "coordinator link lost");
   }
-  if (s.fd >= 0) {
-    ::close(s.fd);
-    s.fd = -1;
+  inflight_.erase(id);
+}
+
+bool Server::owesWork(SessionId id) const {
+  if (id == coordSessionId_) return true;  // The fleet link never idles out.
+  auto it = inflight_.find(id);
+  return it != inflight_.end() && it->second > 0;
+}
+
+void Server::onTick(std::chrono::steady_clock::time_point now) {
+  // Draining: admitted jobs still run; the executor exits once they have.
+  if (loop_.draining()) stopExecutor();
+  drainOutgoing();
+  maintainCoordinatorLink(now);
+}
+
+bool Server::drained() {
+  // Everything produced; the loop exits once it is also delivered (or
+  // undeliverable).
+  if (!executorDone_.load(std::memory_order_relaxed)) return false;
+  std::lock_guard<std::mutex> lk(outgoingMutex_);
+  return outgoing_.empty();
+}
+
+void Server::stopExecutor() {
+  {
+    std::lock_guard<std::mutex> lk(queueMutex_);
+    drainRequested_ = true;
   }
+  queueCv_.notify_all();
 }
 
 std::size_t Server::queueDepthNow() {
@@ -566,13 +229,13 @@ std::size_t Server::queueDepthNow() {
   return pending_.size();
 }
 
-void Server::registerWithCoordinator(Session& s) {
-  Message m;
-  m.op = Op::Register;
-  m.text = "name=" + cfg_.workerName + "\nthreads=" +
-           std::to_string(pool_->threadCount()) + "\ncapacity=" +
-           std::to_string(pool_->threadCount()) + "\n";
-  sendMessage(s, m);
+void Server::attachCoordinator(SessionId id) {
+  coordSessionId_ = id;
+  lastHeartbeat_ = std::chrono::steady_clock::now();
+  const std::string threads = std::to_string(pool_->threadCount());
+  loop_.send(id, {.op = Op::Register,
+                  .text = "name=" + cfg_.workerName + "\nthreads=" + threads +
+                          "\ncapacity=" + threads + "\n"});
   logMessage(LogLevel::Info, "server",
              "registering with coordinator as " + cfg_.workerName);
 }
@@ -580,10 +243,9 @@ void Server::registerWithCoordinator(Session& s) {
 void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) {
   // Heartbeats apply to any live coordinator link, including adopted
   // in-process ones; reconnecting needs a dial address.
-  if (draining_) return;
+  if (loop_.draining()) return;
   if (coordSessionId_ != 0) {
-    auto it = sessions_.find(coordSessionId_);
-    if (it != sessions_.end() && !it->second.dead) {
+    if (loop_.isOpen(coordSessionId_)) {
       if (now - lastHeartbeat_ >= std::chrono::milliseconds(cfg_.heartbeatMs)) {
         lastHeartbeat_ = now;
         double p50 = 0.0;
@@ -591,13 +253,12 @@ void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) 
           std::lock_guard<std::mutex> lk(statsMutex_);
           p50 = queueWaitHist_.percentile(0.50);
         }
-        Message hb;
-        hb.op = Op::Heartbeat;
-        hb.text = "queue_depth=" + std::to_string(queueDepthNow()) +
-                  "\ninflight=" +
-                  std::to_string(inflightA_.load(std::memory_order_relaxed)) +
-                  "\nqueue_wait_p50_ms=" + std::to_string(p50) + "\n";
-        sendMessage(it->second, hb);
+        loop_.send(coordSessionId_,
+                   {.op = Op::Heartbeat,
+                    .text = "queue_depth=" + std::to_string(queueDepthNow()) +
+                            "\ninflight=" +
+                            std::to_string(inflightA_.load(std::memory_order_relaxed)) +
+                            "\nqueue_wait_p50_ms=" + std::to_string(p50) + "\n"});
       }
       return;
     }
@@ -620,21 +281,15 @@ void Server::maintainCoordinatorLink(std::chrono::steady_clock::time_point now) 
   if (!connected) {
     coordBackoffMs_ = coordBackoffMs_ == 0
                           ? 500
-                          : std::min(coordBackoffMs_ * 2, cfg_.reconnectMaxMs);
+                          : std::min(coordBackoffMs_ * 2, kReconnectMaxMs);
     nextCoordAttempt_ = now + std::chrono::milliseconds(coordBackoffMs_);
     logMessage(LogLevel::Warn, "server",
                "coordinator unreachable (" + err + "); next attempt in " +
                    std::to_string(coordBackoffMs_) + " ms");
     return;
   }
-  const int fd = c.releaseFd();
-  setNonBlocking(fd);
-  Session& s = addSession(fd);
-  s.coordinator = true;
-  coordSessionId_ = s.id;
   coordBackoffMs_ = 0;
-  lastHeartbeat_ = now;
-  registerWithCoordinator(s);
+  attachCoordinator(loop_.addSession(c.releaseFd()));
 }
 
 void Server::executorLoop() {
@@ -661,12 +316,8 @@ void Server::executorLoop() {
     for (QueuedJob& q : batch) {
       q.admitted = std::chrono::steady_clock::now();
       jobSpan("queued", q, usOf(q.submitted), usOf(q.admitted));
-      Message running;
-      running.op = Op::Status;
-      running.requestId = q.requestId;
-      running.jobId = q.wireJobId;
-      running.state = JobState::Running;
-      postOutgoing(q.sessionId, std::move(running));
+      postOutgoing(q.sessionId, {.op = Op::Status, .requestId = q.requestId,
+                                 .jobId = q.wireJobId, .state = JobState::Running});
       plan.add(q.job);
     }
 
@@ -707,175 +358,37 @@ void Server::executorLoop() {
       const ErrCode ec =
           ok ? ErrCode::None : (r.errorCode == "io" ? ErrCode::Io : ErrCode::Sim);
 
-      Message status;
-      status.op = Op::Status;
-      status.requestId = q.requestId;
-      status.jobId = q.wireJobId;
-      status.state = ok ? JobState::Done : JobState::Failed;
-      status.errorCode = ec;
-      status.text = ok ? "" : r.error;
-      postOutgoing(q.sessionId, std::move(status));
-
-      Message report;
-      report.op = Op::Report;
-      report.requestId = q.requestId;
-      report.jobId = q.wireJobId;
-      report.state = ok ? JobState::Done : JobState::Failed;
-      report.errorCode = ec;
-      report.text = sim::runReportJson("renucad", q.job.config,
-                                       {{q.job.label, r}}, wallSec,
-                                       pool_->threadCount(), q.job.clientJobId);
-      postOutgoing(q.sessionId, std::move(report));
+      const JobState state = ok ? JobState::Done : JobState::Failed;
+      postOutgoing(q.sessionId, {.op = Op::Status, .requestId = q.requestId,
+                                 .jobId = q.wireJobId, .state = state,
+                                 .errorCode = ec, .text = ok ? "" : r.error});
+      postOutgoing(q.sessionId,
+                   {.op = Op::Report, .requestId = q.requestId, .jobId = q.wireJobId,
+                    .state = state, .errorCode = ec,
+                    .text = sim::runReportJson("renucad", q.job.config,
+                                               {{q.job.label, r}}, wallSec,
+                                               pool_->threadCount(), q.job.clientJobId)});
       inflightA_.fetch_sub(1, std::memory_order_relaxed);
     };
     sim::runPlan(plan, opts);
   }
   executorDone_.store(true, std::memory_order_relaxed);
-  wake();
+  loop_.wake();
 }
 
 int Server::run() {
   executor_ = std::thread(&Server::executorLoop, this);
-  const auto idleTimeout = std::chrono::milliseconds(cfg_.idleTimeoutMs);
-
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fdSession;  // Parallel to fds; 0 = not a session.
-  for (;;) {
-    drainAdopted();
-    drainOutgoing();
-    maintainCoordinatorLink(std::chrono::steady_clock::now());
-
-    if (stopFlag_.load(std::memory_order_relaxed) && !draining_) {
-      draining_ = true;
-      logMessage(LogLevel::Info, "server", "draining: finishing admitted jobs");
-      for (int fd : listenFds_) ::close(fd);
-      listenFds_.clear();
-      {
-        std::lock_guard<std::mutex> lk(queueMutex_);
-        drainRequested_ = true;
-      }
-      queueCv_.notify_all();
-    }
-
-    if (draining_ && executorDone_.load(std::memory_order_relaxed)) {
-      // Everything produced; exit once it is also delivered (or undeliverable).
-      bool flushed;
-      {
-        std::lock_guard<std::mutex> lk(outgoingMutex_);
-        flushed = outgoing_.empty();
-      }
-      if (flushed) {
-        for (auto& [id, s] : sessions_) {
-          if (s.outOff < s.out.size() && !s.dead) {
-            flushed = false;
-            break;
-          }
-        }
-      }
-      if (flushed) break;
-    }
-
-    fds.clear();
-    fdSession.clear();
-    if (wakePipe_[0] >= 0) {
-      fds.push_back({wakePipe_[0], POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (int fd : listenFds_) {
-      fds.push_back({fd, POLLIN, 0});
-      fdSession.push_back(0);
-    }
-    for (auto& [id, s] : sessions_) {
-      short events = 0;
-      // Backpressure: a session with a deep unsent backlog stops being
-      // read until its buffer drains — it cannot pump more jobs in.
-      if (!s.dead && s.out.size() - s.outOff < cfg_.softWriteBuffer)
-        events |= POLLIN;
-      if (s.outOff < s.out.size()) events |= POLLOUT;
-      if (events == 0 && !s.dead) events = POLLIN;
-      fds.push_back({s.fd, events, 0});
-      fdSession.push_back(id);
-    }
-
-    const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
-    if (n < 0 && errno != EINTR) {
-      logMessage(LogLevel::Error, "server", "poll: " + errnoString());
-      break;
-    }
-
-    std::vector<std::uint64_t> toClose;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const pollfd& p = fds[i];
-      if (p.revents == 0) continue;
-      if (p.fd == wakePipe_[0]) {
-        char buf[256];
-        while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (fdSession[i] == 0) {
-        acceptPending(p.fd);
-        continue;
-      }
-      auto it = sessions_.find(fdSession[i]);
-      if (it == sessions_.end()) continue;
-      Session& s = it->second;
-      bool alive = true;
-      if (p.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (p.revents & POLLOUT)) alive = flushSession(s);
-      if (alive && (p.revents & (POLLIN | POLLHUP))) alive = readSession(s);
-      // One more flush so small replies leave without waiting a poll round.
-      if (alive && s.outOff < s.out.size()) alive = flushSession(s);
-      if (!alive) {
-        s.dead = true;
-        toClose.push_back(s.id);
-      } else if (s.dead) {
-        toClose.push_back(s.id);
-      }
-    }
-
-    // Idle reaping and deferred closes.
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& [id, s] : sessions_) {
-      if (s.dead || s.coordinator) continue;  // The fleet link never idles out.
-      if (cfg_.idleTimeoutMs > 0 && s.inflight == 0 &&
-          s.out.size() == s.outOff && now - s.lastActive > idleTimeout) {
-        logMessage(LogLevel::Info, "server",
-                   "session " + std::to_string(id) + ": idle timeout");
-        s.dead = true;
-        toClose.push_back(id);
-      }
-    }
-    for (std::uint64_t id : toClose) {
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      flushSession(it->second);  // Best effort for already-queued replies.
-      closeSession(it->second);
-      sessions_.erase(it);
-    }
-    sessionsA_.store(sessions_.size(), std::memory_order_relaxed);
-  }
-
+  loop_.run();
   // The executor may still be waiting on the cv if stop arrived with an
-  // empty queue; drainRequested_ is already set, so this only wakes it.
-  {
-    std::lock_guard<std::mutex> lk(queueMutex_);
-    drainRequested_ = true;
-  }
-  queueCv_.notify_all();
+  // empty queue (or poll() failed); this only wakes it.
+  stopExecutor();
   executor_.join();
   drainOutgoing();
-  for (auto& [id, s] : sessions_) {
-    flushSession(s);
-    closeSession(s);
-  }
-  sessions_.clear();
-  sessionsA_.store(0, std::memory_order_relaxed);
+  loop_.closeAll();
   if (jobTracer_) {
     std::lock_guard<std::mutex> lk(jobTracerMutex_);
     jobTracer_->close();
   }
-  if (!cfg_.socketPath.empty()) ::unlink(cfg_.socketPath.c_str());
   logMessage(LogLevel::Info, "server", "drained; exiting");
   return 0;
 }

@@ -5,12 +5,12 @@
 // telemetry sinks — and clients stream jobs at it over a Unix-domain
 // socket (TCP optional).  Three threads of control:
 //
-//  * the event loop (run(), the caller's thread): poll()-driven, owns every
-//    socket.  Accepts connections, decodes frames (server/protocol.hpp),
-//    validates job specs with the strict key registry, admits jobs into a
-//    *bounded* queue (full -> explicit BUSY reply, never unbounded memory),
-//    answers STATS/PING, flushes per-session write buffers with
-//    slow-reader backpressure, and closes idle sessions;
+//  * the event loop (run(), the caller's thread): a SessionLoop
+//    (server/session_loop.hpp) owns every socket, decodes frames, answers
+//    PING/STATS/METRICS/SHUTDOWN, applies write backpressure and reaps
+//    idle sessions; this class supplies the policy — it validates job specs
+//    with the strict key registry and admits jobs into a *bounded* queue
+//    (full -> explicit BUSY reply, never unbounded memory);
 //  * the executor thread: drains the queue in batches into a SweepPlan and
 //    runs it on the resident pool via the existing runPlan() — so queued
 //    jobs from *different clients* are grouped by warm-state fingerprint
@@ -56,18 +56,14 @@
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "server/protocol.hpp"
+#include "server/session_loop.hpp"
 #include "sim/sweep.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace renuca::server {
 
-struct ServerConfig {
-  /// Unix-domain listen path; empty = no Unix listener (tests adopt
-  /// socketpair ends instead).
-  std::string socketPath;
-  /// Optional TCP listener, "host:port" ("" or "*" host = any interface).
-  std::string listenHostPort;
+struct ServerConfig : SessionLoopConfig {
   /// Resident sweep workers (0 = one per hardware thread).
   unsigned jobs = 0;
   /// Admission bound: jobs waiting for the executor.  A full queue makes
@@ -76,20 +72,10 @@ struct ServerConfig {
   /// Warm-start snapshot directory shared across all clients' jobs
   /// (sim/sweep.hpp's warmStartDir); empty = cold runs.
   std::string snapshotDir;
-  /// Sessions with no traffic and no jobs in flight are closed after this
-  /// long (<= 0 = never).
-  int idleTimeoutMs = 0;
   /// Job-lifecycle trace output (trace_json= on renucad): one span per
   /// queued/admitted/executing stage per job, tid = job id, timestamps in
   /// microseconds since server start.  Empty = no tracing.
   std::string traceJsonPath;
-  /// Frames larger than this are a fatal protocol violation.
-  std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Reading pauses for a session whose unsent backlog passes this...
-  std::size_t softWriteBuffer = 1u << 20;
-  /// ...and the session is dropped outright past this (a reader this slow
-  /// would otherwise grow the buffer without bound).
-  std::size_t maxWriteBuffer = 64u << 20;
 
   // Fleet worker mode (all optional).
   /// Coordinator address list ("unix:/path", a bare socket path, or
@@ -99,26 +85,23 @@ struct ServerConfig {
   std::string workerName;
   /// Heartbeat cadence toward the coordinator.
   int heartbeatMs = 1000;
-  /// Reconnect backoff cap after the coordinator link drops.
-  int reconnectMaxMs = 10000;
 };
 
-class Server {
+class Server : private SessionLoop::Handler {
  public:
   explicit Server(ServerConfig cfg);
-  ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Binds the configured listeners.  False (with a log line) when a
   /// socket cannot be set up.  Optional: a server can also run purely on
   /// adopted connections.
-  bool listen();
+  bool listen() { return loop_.listen(); }
 
   /// Hands the server one end of an already-connected stream socket (the
   /// in-process test harness uses socketpair()).  Thread-safe; callable
   /// before or during run().
-  void adoptConnection(int fd);
+  void adoptConnection(int fd) { loop_.adoptConnection(fd); }
 
   /// Like adoptConnection, but the peer is a coordinator: the server sends
   /// a REGISTER frame and serves LEASE grants on it (the in-process fleet
@@ -132,22 +115,10 @@ class Server {
 
   /// Begins a graceful drain.  Async-signal-safe (an atomic store and a
   /// pipe write), so signal handlers may call it directly.
-  void requestStop();
-
-  unsigned workerCount() const { return pool_->threadCount(); }
+  void requestStop() { loop_.requestStop(); }
 
  private:
-  struct Session {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::vector<std::uint8_t> in;
-    std::vector<std::uint8_t> out;  ///< Bytes [outOff, end) are unsent.
-    std::size_t outOff = 0;
-    std::size_t inflight = 0;  ///< Jobs admitted and not yet reported.
-    bool dead = false;         ///< Close once flagged (after flush attempt).
-    bool coordinator = false;  ///< Fleet link: exempt from idle reaping.
-    std::chrono::steady_clock::time_point lastActive;
-  };
+  using SessionId = SessionLoop::SessionId;
 
   /// One admitted job, with everything needed to route its results back.
   struct QueuedJob {
@@ -155,7 +126,7 @@ class Server {
     /// Id carried on the wire: the local jobId for direct submissions, the
     /// coordinator's fleet-global id for leases.
     std::uint64_t wireJobId = 0;
-    std::uint64_t sessionId = 0;
+    SessionId sessionId = 0;
     std::uint64_t requestId = 0;
     std::chrono::steady_clock::time_point submitted;
     /// Executor drained it from the queue into a plan (loop -> executor
@@ -168,50 +139,57 @@ class Server {
   };
 
   struct Outgoing {
-    std::uint64_t sessionId = 0;
+    SessionId sessionId = 0;
     Message msg;
   };
 
-  // Event-loop internals (loop thread only).
-  void drainAdopted();
+  // SessionLoop::Handler (loop thread).
+  bool onMessage(SessionId id, const Message& m) override;
+  void onTick(std::chrono::steady_clock::time_point now) override;
+  void onClose(SessionId id) override;
+  bool owesWork(SessionId id) const override;
+  bool drained() override;
+  std::string statsJson() override;
+  std::string metricsText() override;
+
+  // Loop thread only.
   void drainOutgoing();
-  void acceptPending(int listenFd);
-  Session& addSession(int fd);
-  bool readSession(Session& s);
-  bool flushSession(Session& s);
-  void sendMessage(Session& s, const Message& m);
-  void handleMessage(Session& s, const Message& m);
-  void handleSubmit(Session& s, const Message& m, bool lease);
-  void closeSession(Session& s);
-  std::string statsJson();
-  std::string metricsText();
+  void handleSubmit(SessionId id, const Message& m, bool lease);
 
   // Fleet link (loop thread only).
-  void registerWithCoordinator(Session& s);
+  void attachCoordinator(SessionId id);
   void maintainCoordinatorLink(std::chrono::steady_clock::time_point now);
   std::size_t queueDepthNow();
 
-  /// Microseconds since server construction (the lifecycle trace's clock).
-  Cycle traceNowUs() const;
   /// Emits one job-lifecycle span; serialized — callable from any thread.
   void jobSpan(const char* stage, const QueuedJob& q, Cycle start, Cycle end);
 
   // Cross-thread plumbing.
   void executorLoop();
-  void postOutgoing(std::uint64_t sessionId, Message m);
-  void wake();
+  void stopExecutor();
+  void postOutgoing(SessionId sessionId, Message m);
 
   ServerConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
 
-  std::vector<int> listenFds_;
-  int wakePipe_[2] = {-1, -1};
-  std::map<std::uint64_t, Session> sessions_;
-  std::uint64_t nextSessionId_ = 1;
-  std::uint64_t nextJobId_ = 1;
-  bool draining_ = false;  ///< Loop-thread view of the stop request.
+  // Health.  Counters live in the metrics registry and are bumped only by
+  // the loop thread; values the executor/workers touch are atomics read
+  // through gauges, so STATS (answered on the loop thread) never races.
+  // Declared before loop_, which counts protocol errors into protocolErrors_.
+  telemetry::MetricsRegistry metrics_;
+  telemetry::Counter accepted_;
+  telemetry::Counter rejected_;
+  telemetry::Counter protocolErrors_;
+  std::atomic<std::uint64_t> inflightA_{0};
+  std::atomic<std::uint64_t> completedA_{0};
+  std::atomic<std::uint64_t> failedA_{0};
+  std::atomic<std::uint64_t> queueDepthA_{0};
 
-  std::atomic<bool> stopFlag_{false};
+  SessionLoop loop_;
+  /// Per session: jobs admitted and not yet reported (loop thread only).
+  std::map<SessionId, std::size_t> inflight_;
+  std::uint64_t nextJobId_ = 1;
+
   std::atomic<bool> executorDone_{false};
   std::thread executor_;
 
@@ -222,28 +200,12 @@ class Server {
 
   std::mutex outgoingMutex_;
   std::deque<Outgoing> outgoing_;
-  std::mutex adoptMutex_;
-  std::vector<int> adopted_;
-  std::vector<int> adoptedCoord_;  ///< Guarded by adoptMutex_ too.
 
   // Fleet link state (loop thread only).
-  std::uint64_t coordSessionId_ = 0;
+  SessionId coordSessionId_ = 0;
   std::chrono::steady_clock::time_point nextCoordAttempt_{};
   std::chrono::steady_clock::time_point lastHeartbeat_{};
   int coordBackoffMs_ = 0;
-
-  // Health.  Counters live in the metrics registry and are bumped only by
-  // the loop thread; values the executor/workers touch are atomics read
-  // through gauges, so STATS (answered on the loop thread) never races.
-  telemetry::MetricsRegistry metrics_;
-  telemetry::Counter accepted_;
-  telemetry::Counter rejected_;
-  telemetry::Counter protocolErrors_;
-  std::atomic<std::uint64_t> inflightA_{0};
-  std::atomic<std::uint64_t> completedA_{0};
-  std::atomic<std::uint64_t> failedA_{0};
-  std::atomic<std::uint64_t> queueDepthA_{0};
-  std::atomic<std::uint64_t> sessionsA_{0};
 
   std::mutex statsMutex_;      ///< Histograms (executor writes, loop reads).
   Histogram queueDepthHist_;

@@ -3,6 +3,9 @@
 // in-process over socketpair() connections — concurrent clients, queue-full
 // admission, graceful drain, stats, and the determinism contract (a served
 // report is byte-identical to a local runPlan report modulo provenance).
+// The session-layer cases (corrupt frames, backpressure, write-buffer
+// limits, idle reaping) run against both daemons, renucad and renuca-coord,
+// since both sit on the same SessionLoop.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "server/client.hpp"
+#include "server/coordinator.hpp"
 #include "server/jobspec.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -240,44 +244,69 @@ TEST(JobSpec, RejectsServerOwnedUnknownAndConflictingKeys) {
 
 // --- Server harness --------------------------------------------------------
 
-/// Runs a Server on a background thread; connections are socketpair ends
-/// adopted in-process, so the tests exercise the real event loop without
-/// touching the filesystem or the network.
+/// Runs a Server (or a Coordinator) on a background thread; connections are
+/// socketpair ends adopted in-process, so the tests exercise the real event
+/// loop without touching the filesystem or the network.
 struct TestServer {
   explicit TestServer(server::ServerConfig cfg) : srv(new server::Server(cfg)) {
     thread = std::thread([this] { rc.store(srv->run()); });
   }
-  ~TestServer() {
-    if (thread.joinable()) {
-      srv->requestStop();
-      thread.join();
-    }
+  explicit TestServer(server::CoordinatorConfig cfg)
+      : coord(new server::Coordinator(cfg)) {
+    thread = std::thread([this] { rc.store(coord->run()); });
   }
+  ~TestServer() {
+    if (thread.joinable()) stop();
+  }
+  void adopt(int fd) { srv ? srv->adoptConnection(fd) : coord->adoptConnection(fd); }
   Client connect() {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    srv->adoptConnection(fds[0]);
     Client c;
-    c.adoptFd(fds[1]);
+    c.adoptFd(connectRaw());
     return c;
   }
   /// Raw variant for injecting malformed bytes.
   int connectRaw() {
     int fds[2] = {-1, -1};
     EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    srv->adoptConnection(fds[0]);
+    adopt(fds[0]);
     return fds[1];
   }
   int stop() {
-    srv->requestStop();
+    srv ? srv->requestStop() : coord->requestStop();
     thread.join();
     return rc.load();
   }
 
   std::unique_ptr<server::Server> srv;
+  std::unique_ptr<server::Coordinator> coord;
   std::thread thread;
   std::atomic<int> rc{-1};
 };
+
+/// The daemons whose session layer the shared cases below exercise.
+enum class Daemon { Renucad, Coordinator };
+
+/// A one-worker renucad, or a coordinator with no workers, listening on
+/// nothing and using `loop` for its session limits.
+std::unique_ptr<TestServer> startDaemon(Daemon d, const server::SessionLoopConfig& loop) {
+  if (d == Daemon::Renucad) {
+    server::ServerConfig cfg;
+    cfg.jobs = 1;
+    static_cast<server::SessionLoopConfig&>(cfg) = loop;
+    return std::make_unique<TestServer>(cfg);
+  }
+  server::CoordinatorConfig cfg;
+  static_cast<server::SessionLoopConfig&>(cfg) = loop;
+  return std::make_unique<TestServer>(cfg);
+}
+
+/// A session-layer case written once and registered for both daemons, as
+/// Server.<Name> and Coordinator.<Name>; the body sees the daemon as `d`.
+#define SESSION_LAYER_TEST(Name)                                  \
+  void Name##Case(Daemon d);                                      \
+  TEST(Server, Name) { Name##Case(Daemon::Renucad); }             \
+  TEST(Coordinator, Name) { Name##Case(Daemon::Coordinator); }    \
+  void Name##Case(Daemon d)
 
 server::ServerConfig smallServer(unsigned workers = 2, std::size_t queue = 64) {
   server::ServerConfig cfg;
@@ -363,8 +392,10 @@ TEST(Server, InvalidSpecGetsErrorAndSessionSurvives) {
   EXPECT_EQ(pong.op, Op::Pong);
 }
 
-TEST(Server, CorruptFrameGetsErrorReplyAndSessionSurvives) {
-  TestServer ts(smallServer(1));
+SESSION_LAYER_TEST(CorruptFrameGetsErrorReplyAndSessionSurvives) {
+  const server::SessionLoopConfig loop;
+  auto daemon = startDaemon(d, loop);
+  TestServer& ts = *daemon;
   const int fd = ts.connectRaw();
   Message m;
   m.op = Op::Ping;
@@ -390,8 +421,10 @@ TEST(Server, CorruptFrameGetsErrorReplyAndSessionSurvives) {
   EXPECT_EQ(pong.requestId, 10u);
 }
 
-TEST(Server, ImplausibleFrameLengthClosesConnection) {
-  TestServer ts(smallServer(1));
+SESSION_LAYER_TEST(ImplausibleFrameLengthClosesConnection) {
+  const server::SessionLoopConfig loop;
+  auto daemon = startDaemon(d, loop);
+  TestServer& ts = *daemon;
   const int fd = ts.connectRaw();
   const std::uint8_t junk[] = {0xff, 0xff, 0xff, 0xff, 1, 2, 3};
   ASSERT_EQ(::send(fd, junk, sizeof(junk), 0), static_cast<ssize_t>(sizeof(junk)));
@@ -793,13 +826,14 @@ TEST(Server, TruncatedFrameAtEofClosesWithoutDisturbingOthers) {
   EXPECT_EQ(pong.op, Op::Pong);
 }
 
-TEST(Server, SlowReaderGetsBackpressureNotDataLoss) {
+SESSION_LAYER_TEST(SlowReaderGetsBackpressureNotDataLoss) {
   // A tiny soft write buffer forces the server to stop reading this
   // session while its replies sit unsent; once the client finally reads,
   // every reply arrives intact and in order.
-  server::ServerConfig cfg = smallServer(1);
-  cfg.softWriteBuffer = 1024;
-  TestServer ts(cfg);
+  server::SessionLoopConfig loop;
+  loop.softWriteBuffer = 1024;
+  auto daemon = startDaemon(d, loop);
+  TestServer& ts = *daemon;
   Client c = ts.connect();
   const int kPings = 20;
   const std::string payload(4096, 'p');
@@ -829,11 +863,12 @@ TEST(Server, SlowReaderGetsBackpressureNotDataLoss) {
   EXPECT_EQ(pong.requestId, 999u);
 }
 
-TEST(Server, ReaderPastMaxWriteBufferIsDroppedOthersUnaffected) {
-  server::ServerConfig cfg = smallServer(1);
-  cfg.softWriteBuffer = 1024;
-  cfg.maxWriteBuffer = 16 * 1024;
-  TestServer ts(cfg);
+SESSION_LAYER_TEST(ReaderPastMaxWriteBufferIsDroppedOthersUnaffected) {
+  server::SessionLoopConfig loop;
+  loop.softWriteBuffer = 1024;
+  loop.maxWriteBuffer = 16 * 1024;
+  auto daemon = startDaemon(d, loop);
+  TestServer& ts = *daemon;
   Client hog = ts.connect();
   Client bystander = ts.connect();
 
@@ -865,10 +900,11 @@ TEST(Server, ReaderPastMaxWriteBufferIsDroppedOthersUnaffected) {
   EXPECT_EQ(pong.requestId, 2u);
 }
 
-TEST(Server, StalledSessionPastIdleTimeoutIsReaped) {
-  server::ServerConfig cfg = smallServer(1);
-  cfg.idleTimeoutMs = 200;
-  TestServer ts(cfg);
+SESSION_LAYER_TEST(StalledSessionPastIdleTimeoutIsReaped) {
+  server::SessionLoopConfig loop;
+  loop.idleTimeoutMs = 200;
+  auto daemon = startDaemon(d, loop);
+  TestServer& ts = *daemon;
   Client stalled = ts.connect();
   Client active = ts.connect();
 
@@ -889,6 +925,71 @@ TEST(Server, StalledSessionPastIdleTimeoutIsReaped) {
   std::string err;
   EXPECT_FALSE(stalled.receive(m, &err));
   EXPECT_EQ(err.find("timeout"), std::string::npos) << err;
+}
+
+TEST(Server, SessionOverflowedByAReportIsReapedThoughItsPeerStoppedReading) {
+  // Job reports reach a session outside the poll sweep, so a report that
+  // pushes the backlog past maxWriteBuffer flags the session dead there.
+  // A peer that has stopped reading never raises POLLOUT again: only the
+  // loop's per-round reap of dead sessions frees the fd and its backlog.
+  // A tiny kernel send buffer makes the socket fill up after a few frames;
+  // the admission replies stay under the limit, the reports (~1.5 KB each)
+  // cross it.
+  server::ServerConfig cfg = smallServer(1);
+  cfg.maxWriteBuffer = 2048;
+  TestServer ts(cfg);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 1;  // The kernel raises this to its minimum.
+  ASSERT_EQ(setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+  ts.srv->adoptConnection(fds[0]);
+  Client hog;
+  hog.adoptFd(fds[1]);
+  Client monitor = ts.connect();
+
+  // The hog submits jobs and never reads a byte of the replies.
+  for (unsigned i = 1; i <= 4; ++i) {
+    Message req;
+    req.op = Op::Submit;
+    req.requestId = i;
+    req.text = quickSpec("mcf", 10 + i);
+    ASSERT_TRUE(hog.send(req));
+  }
+  double sessions = -1.0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    Message req;
+    req.op = Op::Stats;
+    req.requestId = 1;
+    ASSERT_TRUE(monitor.send(req));
+    Message stats;
+    ASSERT_TRUE(monitor.receive(stats));
+    std::string err;
+    auto doc = telemetry::parseJson(stats.text, &err);
+    ASSERT_TRUE(doc) << err;
+    sessions = doc->find("server")->find("server/sessions")->number;
+    if (sessions == 1.0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(sessions, 1.0) << "the overflowed session was never closed";
+}
+
+TEST(Client, EmptyPortIsRejectedBeforeConnecting) {
+  Client c;
+  std::string err;
+  EXPECT_FALSE(c.connectAddress("127.0.0.1:", &err));
+  EXPECT_NE(err.find("bad port"), std::string::npos) << err;
+  EXPECT_FALSE(c.connectAddress("127.0.0.1:65536", &err));
+  EXPECT_NE(err.find("bad port"), std::string::npos) << err;
+  EXPECT_FALSE(c.connectAddress("localhost", &err));
+  EXPECT_NE(err.find("bad address"), std::string::npos) << err;
+
+  std::string host;
+  std::uint16_t port = 0;
+  ASSERT_TRUE(server::splitHostPort(":9000", host, port));
+  EXPECT_EQ(host, "");  // Each caller supplies its own default host.
+  EXPECT_EQ(port, 9000);
+  EXPECT_FALSE(server::splitHostPort("*:+80", host, port));
 }
 
 TEST(Server, SessionDisconnectDuringJobDoesNotCrash) {
